@@ -22,87 +22,92 @@ type snapshot = {
   queued_jobs : int;
 }
 
-let zero : snapshot =
+(* The counter table: one row per counter, in print order.  A row's
+   position is its slot in the domain-local array below.  [block] is the
+   [pp] block it prints in: 0 always prints; 1 (fault), 2 (incremental
+   kernel), 3 (online) and 4 (scheduld) print only when one of their
+   counters is nonzero, so runs that never touch them keep their
+   historical output.  The print order is part of the CLI contract
+   (cram tests pin it). *)
+type row = { key : string; label : string; block : int }
+
+let table =
+  [|
+    { key = "evaluations"; label = "evaluations:"; block = 0 };
+    { key = "pruned_evaluations"; label = "pruned evaluations:"; block = 0 };
+    { key = "route_cache_hits"; label = "route-cache hits:"; block = 0 };
+    { key = "gap_probes"; label = "gap probes:"; block = 0 };
+    { key = "joint_gap_probes"; label = "joint gap probes:"; block = 0 };
+    { key = "tentative_hops"; label = "tentative hops:"; block = 0 };
+    { key = "commits"; label = "commits:"; block = 0 };
+    { key = "copies"; label = "copies:"; block = 0 };
+    { key = "retries"; label = "retries:"; block = 1 };
+    { key = "repairs"; label = "repairs:"; block = 1 };
+    { key = "backoff_s"; label = "backoff time:"; block = 1 };
+    { key = "rollbacks"; label = "rollbacks:"; block = 2 };
+    { key = "replayed_tasks"; label = "replayed tasks:"; block = 2 };
+    { key = "search_pruned_nodes"; label = "search pruned:"; block = 2 };
+    { key = "replans"; label = "replans:"; block = 3 };
+    { key = "shed_jobs"; label = "shed jobs:"; block = 3 };
+    { key = "frozen_tasks"; label = "frozen tasks:"; block = 3 };
+    { key = "deadline_misses"; label = "deadline misses:"; block = 3 };
+    { key = "requests"; label = "requests:"; block = 4 };
+    { key = "batched_replans"; label = "batched replans:"; block = 4 };
+    { key = "queued_jobs"; label = "queued jobs:"; block = 4 };
+  |]
+
+let slots = Array.length table
+
+(* Record <-> slots: besides the bump functions, the only code that
+   names individual counters.  Slot [k] is row [k] of [table]. *)
+let of_slots a : snapshot =
+  let f = Float.Array.get a in
+  let i k = int_of_float (f k) in
   {
-    evaluations = 0;
-    pruned_evaluations = 0;
-    route_cache_hits = 0;
-    gap_probes = 0;
-    joint_gap_probes = 0;
-    tentative_hops = 0;
-    commits = 0;
-    copies = 0;
-    retries = 0;
-    repairs = 0;
-    backoff_s = 0.;
-    rollbacks = 0;
-    replayed_tasks = 0;
-    search_pruned_nodes = 0;
-    replans = 0;
-    shed_jobs = 0;
-    frozen_tasks = 0;
-    deadline_misses = 0;
-    requests = 0;
-    batched_replans = 0;
-    queued_jobs = 0;
+    evaluations = i 0;
+    pruned_evaluations = i 1;
+    route_cache_hits = i 2;
+    gap_probes = i 3;
+    joint_gap_probes = i 4;
+    tentative_hops = i 5;
+    commits = i 6;
+    copies = i 7;
+    retries = i 8;
+    repairs = i 9;
+    backoff_s = f 10;
+    rollbacks = i 11;
+    replayed_tasks = i 12;
+    search_pruned_nodes = i 13;
+    replans = i 14;
+    shed_jobs = i 15;
+    frozen_tasks = i 16;
+    deadline_misses = i 17;
+    requests = i 18;
+    batched_replans = i 19;
+    queued_jobs = i 20;
   }
 
-(* One mutable record rather than eleven refs: a single cache line, and
-   the field stores compile to plain [mov]s. *)
-type state = {
-  mutable evaluations : int;
-  mutable pruned_evaluations : int;
-  mutable route_cache_hits : int;
-  mutable gap_probes : int;
-  mutable joint_gap_probes : int;
-  mutable tentative_hops : int;
-  mutable commits : int;
-  mutable copies : int;
-  mutable retries : int;
-  mutable repairs : int;
-  mutable backoff_s : float;
-  mutable rollbacks : int;
-  mutable replayed_tasks : int;
-  mutable search_pruned_nodes : int;
-  mutable replans : int;
-  mutable shed_jobs : int;
-  mutable frozen_tasks : int;
-  mutable deadline_misses : int;
-  mutable requests : int;
-  mutable batched_replans : int;
-  mutable queued_jobs : int;
-}
+let to_slots (c : snapshot) =
+  let i = float_of_int in
+  Float.Array.of_list
+    [
+      i c.evaluations; i c.pruned_evaluations; i c.route_cache_hits;
+      i c.gap_probes; i c.joint_gap_probes; i c.tentative_hops; i c.commits;
+      i c.copies; i c.retries; i c.repairs; c.backoff_s; i c.rollbacks;
+      i c.replayed_tasks; i c.search_pruned_nodes; i c.replans; i c.shed_jobs;
+      i c.frozen_tasks; i c.deadline_misses; i c.requests; i c.batched_replans;
+      i c.queued_jobs;
+    ]
 
-(* Domain-local scratch: every domain bumps its own record, so workers of
-   a {!Prelude.Pool} sweep never contend (or race) on shared counters.
+let zero = of_slots (Float.Array.make slots 0.)
+
+(* Domain-local scratch: every domain bumps its own slot array, so workers
+   of a {!Prelude.Pool} sweep never contend (or race) on shared counters.
    The pool merges worker snapshots into the spawning domain at its
-   barrier, making totals independent of how the work was sharded. *)
-let key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        evaluations = 0;
-        pruned_evaluations = 0;
-        route_cache_hits = 0;
-        gap_probes = 0;
-        joint_gap_probes = 0;
-        tentative_hops = 0;
-        commits = 0;
-        copies = 0;
-        retries = 0;
-        repairs = 0;
-        backoff_s = 0.;
-        rollbacks = 0;
-        replayed_tasks = 0;
-        search_pruned_nodes = 0;
-        replans = 0;
-        shed_jobs = 0;
-        frozen_tasks = 0;
-        deadline_misses = 0;
-        requests = 0;
-        batched_replans = 0;
-        queued_jobs = 0;
-      })
-
+   barrier, making totals independent of how the work was sharded.  One
+   flat float array holds every counter, integral ones included: floats
+   count integers exactly up to 2^53. *)
+let key = Domain.DLS.new_key (fun () -> Float.Array.make slots 0.)
 let state () = Domain.DLS.get key
 
 let on = ref false
@@ -110,279 +115,70 @@ let enable () = on := true
 let disable () = on := false
 let enabled () = !on
 
-let reset () =
+let reset () = Float.Array.fill (state ()) 0 slots 0.
+let snapshot () = of_slots (state ())
+
+let merge d =
   let s = state () in
-  s.evaluations <- 0;
-  s.pruned_evaluations <- 0;
-  s.route_cache_hits <- 0;
-  s.gap_probes <- 0;
-  s.joint_gap_probes <- 0;
-  s.tentative_hops <- 0;
-  s.commits <- 0;
-  s.copies <- 0;
-  s.retries <- 0;
-  s.repairs <- 0;
-  s.backoff_s <- 0.;
-  s.rollbacks <- 0;
-  s.replayed_tasks <- 0;
-  s.search_pruned_nodes <- 0;
-  s.replans <- 0;
-  s.shed_jobs <- 0;
-  s.frozen_tasks <- 0;
-  s.deadline_misses <- 0;
-  s.requests <- 0;
-  s.batched_replans <- 0;
-  s.queued_jobs <- 0
+  Float.Array.iteri
+    (fun k x -> Float.Array.set s k (Float.Array.get s k +. x))
+    (to_slots d)
 
-let snapshot () : snapshot =
+let diff a b = of_slots (Float.Array.map2 ( -. ) (to_slots b) (to_slots a))
+
+(* Integral values print as integers (every counter but [backoff_s], and
+   [backoff_s] whenever it is whole); fractional ones as [%g]. *)
+let number x =
+  if Float.is_integer x then Printf.sprintf "%.0f" x else Printf.sprintf "%g" x
+
+let fields c =
+  let v = to_slots c in
+  Array.to_list table
+  |> List.mapi (fun k r -> (r.key, number (Float.Array.get v k)))
+
+(* Slot indices of each block, in print order. *)
+let blocks =
+  let rows = List.init slots Fun.id in
+  let last = Array.fold_left (fun m r -> max m r.block) 0 table in
+  List.init (last + 1) (fun b ->
+      List.filter (fun k -> table.(k).block = b) rows)
+
+let pp fmt c =
+  let v = to_slots c in
+  let line fmt k =
+    Format.fprintf fmt "%-17s %s" table.(k).label (number (Float.Array.get v k))
+  in
+  List.iteri
+    (fun b ks ->
+      if b = 0 || List.exists (fun k -> Float.Array.get v k <> 0.) ks then begin
+        if b > 0 then Format.pp_print_cut fmt ();
+        Format.fprintf fmt "@[<v>%a@]" (Format.pp_print_list line) ks
+      end)
+    blocks
+
+let add k x =
   let s = state () in
-  {
-    evaluations = s.evaluations;
-    pruned_evaluations = s.pruned_evaluations;
-    route_cache_hits = s.route_cache_hits;
-    gap_probes = s.gap_probes;
-    joint_gap_probes = s.joint_gap_probes;
-    tentative_hops = s.tentative_hops;
-    commits = s.commits;
-    copies = s.copies;
-    retries = s.retries;
-    repairs = s.repairs;
-    backoff_s = s.backoff_s;
-    rollbacks = s.rollbacks;
-    replayed_tasks = s.replayed_tasks;
-    search_pruned_nodes = s.search_pruned_nodes;
-    replans = s.replans;
-    shed_jobs = s.shed_jobs;
-    frozen_tasks = s.frozen_tasks;
-    deadline_misses = s.deadline_misses;
-    requests = s.requests;
-    batched_replans = s.batched_replans;
-    queued_jobs = s.queued_jobs;
-  }
-
-let merge (d : snapshot) =
-  let s = state () in
-  s.evaluations <- s.evaluations + d.evaluations;
-  s.pruned_evaluations <- s.pruned_evaluations + d.pruned_evaluations;
-  s.route_cache_hits <- s.route_cache_hits + d.route_cache_hits;
-  s.gap_probes <- s.gap_probes + d.gap_probes;
-  s.joint_gap_probes <- s.joint_gap_probes + d.joint_gap_probes;
-  s.tentative_hops <- s.tentative_hops + d.tentative_hops;
-  s.commits <- s.commits + d.commits;
-  s.copies <- s.copies + d.copies;
-  s.retries <- s.retries + d.retries;
-  s.repairs <- s.repairs + d.repairs;
-  s.backoff_s <- s.backoff_s +. d.backoff_s;
-  s.rollbacks <- s.rollbacks + d.rollbacks;
-  s.replayed_tasks <- s.replayed_tasks + d.replayed_tasks;
-  s.search_pruned_nodes <- s.search_pruned_nodes + d.search_pruned_nodes;
-  s.replans <- s.replans + d.replans;
-  s.shed_jobs <- s.shed_jobs + d.shed_jobs;
-  s.frozen_tasks <- s.frozen_tasks + d.frozen_tasks;
-  s.deadline_misses <- s.deadline_misses + d.deadline_misses;
-  s.requests <- s.requests + d.requests;
-  s.batched_replans <- s.batched_replans + d.batched_replans;
-  s.queued_jobs <- s.queued_jobs + d.queued_jobs
-
-let diff (a : snapshot) (b : snapshot) : snapshot =
-  {
-    evaluations = b.evaluations - a.evaluations;
-    pruned_evaluations = b.pruned_evaluations - a.pruned_evaluations;
-    route_cache_hits = b.route_cache_hits - a.route_cache_hits;
-    gap_probes = b.gap_probes - a.gap_probes;
-    joint_gap_probes = b.joint_gap_probes - a.joint_gap_probes;
-    tentative_hops = b.tentative_hops - a.tentative_hops;
-    commits = b.commits - a.commits;
-    copies = b.copies - a.copies;
-    retries = b.retries - a.retries;
-    repairs = b.repairs - a.repairs;
-    backoff_s = b.backoff_s -. a.backoff_s;
-    rollbacks = b.rollbacks - a.rollbacks;
-    replayed_tasks = b.replayed_tasks - a.replayed_tasks;
-    search_pruned_nodes = b.search_pruned_nodes - a.search_pruned_nodes;
-    replans = b.replans - a.replans;
-    shed_jobs = b.shed_jobs - a.shed_jobs;
-    frozen_tasks = b.frozen_tasks - a.frozen_tasks;
-    deadline_misses = b.deadline_misses - a.deadline_misses;
-    requests = b.requests - a.requests;
-    batched_replans = b.batched_replans - a.batched_replans;
-    queued_jobs = b.queued_jobs - a.queued_jobs;
-  }
-
-(* The print order below is part of the CLI contract (cram tests pin it):
-   evaluations, pruned evaluations, route-cache hits, gap probes, joint
-   gap probes, tentative hops, commits, copies — then the fault block
-   (retries, repairs, backoff time) only when something bumped it. *)
-let pp fmt (c : snapshot) =
-  Format.fprintf fmt
-    "@[<v>evaluations:      %d@,\
-     pruned evaluations: %d@,\
-     route-cache hits: %d@,\
-     gap probes:       %d@,\
-     joint gap probes: %d@,\
-     tentative hops:   %d@,\
-     commits:          %d@,\
-     copies:           %d@]"
-    c.evaluations c.pruned_evaluations c.route_cache_hits c.gap_probes
-    c.joint_gap_probes c.tentative_hops c.commits c.copies;
-  (* fault-handling counters only appear once something bumped them, so
-     fault-free runs keep their historical output *)
-  if c.retries <> 0 || c.repairs <> 0 || c.backoff_s <> 0. then
-    Format.fprintf fmt
-      "@,@[<v>retries:          %d@,\
-       repairs:          %d@,\
-       backoff time:     %g@]"
-      c.retries c.repairs c.backoff_s;
-  (* incremental-kernel counters follow the same convention: from-scratch
-     builds never print them *)
-  if c.rollbacks <> 0 || c.replayed_tasks <> 0 || c.search_pruned_nodes <> 0
-  then
-    Format.fprintf fmt
-      "@,@[<v>rollbacks:        %d@,\
-       replayed tasks:   %d@,\
-       search pruned:    %d@]"
-      c.rollbacks c.replayed_tasks c.search_pruned_nodes;
-  (* rolling-horizon online counters: offline runs never print them *)
-  if
-    c.replans <> 0 || c.shed_jobs <> 0 || c.frozen_tasks <> 0
-    || c.deadline_misses <> 0
-  then
-    Format.fprintf fmt
-      "@,@[<v>replans:          %d@,\
-       shed jobs:        %d@,\
-       frozen tasks:     %d@,\
-       deadline misses:  %d@]"
-      c.replans c.shed_jobs c.frozen_tasks c.deadline_misses;
-  (* scheduld daemon counters: anything else never prints them *)
-  if c.requests <> 0 || c.batched_replans <> 0 || c.queued_jobs <> 0 then
-    Format.fprintf fmt
-      "@,@[<v>requests:         %d@,\
-       batched replans:  %d@,\
-       queued jobs:      %d@]"
-      c.requests c.batched_replans c.queued_jobs
-
-let evaluation () =
-  if !on then
-    let s = state () in
-    s.evaluations <- s.evaluations + 1
+  Float.Array.unsafe_set s k (Float.Array.unsafe_get s k +. x)
 [@@inline]
 
-let pruned_evaluation () =
-  if !on then
-    let s = state () in
-    s.pruned_evaluations <- s.pruned_evaluations + 1
-[@@inline]
-
-let route_cache_hit () =
-  if !on then
-    let s = state () in
-    s.route_cache_hits <- s.route_cache_hits + 1
-[@@inline]
-
-let gap_probe () =
-  if !on then
-    let s = state () in
-    s.gap_probes <- s.gap_probes + 1
-[@@inline]
-
-let joint_gap_probe () =
-  if !on then
-    let s = state () in
-    s.joint_gap_probes <- s.joint_gap_probes + 1
-[@@inline]
-
-let tentative_hop () =
-  if !on then
-    let s = state () in
-    s.tentative_hops <- s.tentative_hops + 1
-[@@inline]
-
-let commit () =
-  if !on then
-    let s = state () in
-    s.commits <- s.commits + 1
-[@@inline]
-
-let copy () =
-  if !on then
-    let s = state () in
-    s.copies <- s.copies + 1
-[@@inline]
-
-let retry () =
-  if !on then
-    let s = state () in
-    s.retries <- s.retries + 1
-[@@inline]
-
-let repair () =
-  if !on then
-    let s = state () in
-    s.repairs <- s.repairs + 1
-[@@inline]
-
-let backoff dt =
-  if !on then
-    let s = state () in
-    s.backoff_s <- s.backoff_s +. dt
-[@@inline]
-
-let rollback () =
-  if !on then
-    let s = state () in
-    s.rollbacks <- s.rollbacks + 1
-[@@inline]
-
-let replayed_task () =
-  if !on then
-    let s = state () in
-    s.replayed_tasks <- s.replayed_tasks + 1
-[@@inline]
-
-let search_pruned_node () =
-  if !on then
-    let s = state () in
-    s.search_pruned_nodes <- s.search_pruned_nodes + 1
-[@@inline]
-
-let replan () =
-  if !on then
-    let s = state () in
-    s.replans <- s.replans + 1
-[@@inline]
-
-let shed_job () =
-  if !on then
-    let s = state () in
-    s.shed_jobs <- s.shed_jobs + 1
-[@@inline]
-
-let frozen_task () =
-  if !on then
-    let s = state () in
-    s.frozen_tasks <- s.frozen_tasks + 1
-[@@inline]
-
-let deadline_miss () =
-  if !on then
-    let s = state () in
-    s.deadline_misses <- s.deadline_misses + 1
-[@@inline]
-
-let server_request () =
-  if !on then
-    let s = state () in
-    s.requests <- s.requests + 1
-[@@inline]
-
-let batched_replan () =
-  if !on then
-    let s = state () in
-    s.batched_replans <- s.batched_replans + 1
-[@@inline]
-
-let queued_job () =
-  if !on then
-    let s = state () in
-    s.queued_jobs <- s.queued_jobs + 1
-[@@inline]
+let evaluation () = if !on then add 0 1. [@@inline]
+let pruned_evaluation () = if !on then add 1 1. [@@inline]
+let route_cache_hit () = if !on then add 2 1. [@@inline]
+let gap_probe () = if !on then add 3 1. [@@inline]
+let joint_gap_probe () = if !on then add 4 1. [@@inline]
+let tentative_hop () = if !on then add 5 1. [@@inline]
+let commit () = if !on then add 6 1. [@@inline]
+let copy () = if !on then add 7 1. [@@inline]
+let retry () = if !on then add 8 1. [@@inline]
+let repair () = if !on then add 9 1. [@@inline]
+let backoff dt = if !on then add 10 dt [@@inline]
+let rollback () = if !on then add 11 1. [@@inline]
+let replayed_task () = if !on then add 12 1. [@@inline]
+let search_pruned_node () = if !on then add 13 1. [@@inline]
+let replan () = if !on then add 14 1. [@@inline]
+let shed_job () = if !on then add 15 1. [@@inline]
+let frozen_task () = if !on then add 16 1. [@@inline]
+let deadline_miss () = if !on then add 17 1. [@@inline]
+let server_request () = if !on then add 18 1. [@@inline]
+let batched_replan () = if !on then add 19 1. [@@inline]
+let queued_job () = if !on then add 20 1. [@@inline]

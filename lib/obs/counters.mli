@@ -1,8 +1,18 @@
-(** Hot-path counters for the scheduling engine and the fault-handling
-    machinery.
+(** Hot-path counters for the scheduling engine, the fault-handling
+    machinery, the incremental kernel, the online driver and the
+    [scheduld] daemon.
 
-    Eight monotonic counters cover the per-decision costs that dominate
-    every list heuristic in this library:
+    The counters are table-driven.  One table in [counters.ml] holds a
+    row per counter, in print order: its JSON key (the {!snapshot}
+    field name, used by the Chrome counter event), its [--stats] label,
+    and the {!pp} block it prints in.  Each domain keeps one slot per
+    row; [zero], {!reset}, {!merge}, {!diff}, {!pp} and {!fields} are
+    loops over the table and name no counter.  Adding a counter means:
+    a {!snapshot} field (here and in [counters.ml]), a table row, its
+    slot in the two record <-> slot conversions, and a bump function.
+
+    Block 0 covers the per-decision costs that dominate every list
+    heuristic in this library, and always prints:
 
     - [evaluations]: calls to [Engine.evaluate] — one candidate
       (task, processor) pair priced;
@@ -22,8 +32,8 @@
     - [copies]: whole-schedule copies ([Schedule.copy] — the cost of
       ILHA's reschedule variant and of the improvers).
 
-    Three further counters trace fault handling
-    ([Simkit.Faulty_executor], [Heuristics.Repair]):
+    Block 1 traces fault handling ([Simkit.Faulty_executor],
+    [Heuristics.Repair]):
 
     - [retries]: communication hops re-executed after a transient
       failure;
@@ -32,7 +42,7 @@
       exponential backoff between retry attempts (a float — simulated
       time units, not wall seconds).
 
-    Three more trace the incremental kernel ([Schedule.restore],
+    Block 2 traces the incremental kernel ([Schedule.restore],
     [Engine.rewind], the prefix-replay improvers and the undo-based
     branch-and-bound search):
 
@@ -43,8 +53,7 @@
     - [search_pruned_nodes]: branch-and-bound nodes cut by the incumbent
       bound in [Search.best_schedule].
 
-    Four more trace the rolling-horizon online driver
-    ([Online.Driver]):
+    Block 3 traces the rolling-horizon online driver ([Online.Driver]):
 
     - [replans]: suffix re-plans triggered by arrivals, failures,
       rejoins or predicted deadline misses;
@@ -55,7 +64,7 @@
     - [deadline_misses]: jobs that completed after their deadline (or
       were shed while holding one).
 
-    Three more trace the scheduler-as-a-service daemon
+    Block 4 traces the scheduler-as-a-service daemon
     ([Server.Scheduld]):
 
     - [requests]: protocol request lines processed (including malformed
@@ -66,14 +75,14 @@
 
     Counting is globally toggleable and off by default.  When disabled,
     every bump is a single load-and-branch; when enabled, a
-    domain-local-storage lookup plus an in-place integer store — no
-    allocation either way, so instrumented code can sit inside the
-    innermost loops.
+    domain-local-storage lookup plus an in-place store into the slot
+    array — no allocation either way, so instrumented code can sit
+    inside the innermost loops.
 
     {b Domains.}  Each domain accumulates into its own domain-local
-    record, so parallel sweeps ({!Prelude.Pool}) never contend on shared
-    state.  [reset]/[snapshot]/[merge] all act on the {e calling}
-    domain's record; the pool snapshots every worker at its barrier and
+    slot array, so parallel sweeps ({!Prelude.Pool}) never contend on
+    shared state.  [reset]/[snapshot]/[merge] all act on the {e calling}
+    domain's slots; the pool snapshots every worker at its barrier and
     [merge]s the snapshots into the spawning domain, which makes
     [--stats] totals independent of the number of jobs. *)
 
@@ -123,16 +132,22 @@ val diff : snapshot -> snapshot -> snapshot
     merged totals equal a serial run's regardless of sharding. *)
 val merge : snapshot -> unit
 
-(** Pretty one-line-per-counter rendering.  The line order is stable and
-    part of the CLI contract (cram tests pin it): evaluations, pruned
-    evaluations, route-cache hits, gap probes, joint gap probes,
-    tentative hops, commits, copies — then the fault block (retries,
-    repairs, backoff time), the incremental-kernel block (rollbacks,
-    replayed tasks, search pruned) and the online block (replans, shed
-    jobs, frozen tasks, deadline misses) and the scheduld block
-    (requests, batched replans, queued jobs), each printed only when
-    nonzero. *)
+(** Pretty one-line-per-counter rendering, one block after another in
+    table order: block 0 (evaluations, pruned evaluations, route-cache
+    hits, gap probes, joint gap probes, tentative hops, commits,
+    copies), then the fault block (retries, repairs, backoff time), the
+    incremental-kernel block (rollbacks, replayed tasks, search pruned),
+    the online block (replans, shed jobs, frozen tasks, deadline misses)
+    and the scheduld block (requests, batched replans, queued jobs),
+    each of the last four printed only when one of its counters is
+    nonzero.  The order is part of the CLI contract (cram tests pin
+    it). *)
 val pp : Format.formatter -> snapshot -> unit
+
+(** [fields c] — every counter as [(key, value)] in table order, the
+    key being its {!snapshot} field name and the value a JSON number
+    (integral values as integers). *)
+val fields : snapshot -> (string * string) list
 
 (** {2 Bump sites} — no-ops while disabled. *)
 

@@ -3,7 +3,7 @@
     The writer emits the JSON array flavour of the Trace Event Format:
     one ["B"]/["E"] duration event per recorded {!Span} event, plus
     process/thread naming metadata, plus (optionally) a ["C"] counter
-    event carrying the engine counters.  The output is always
+    event carrying every {!Counters} field.  The output is always
     well-formed for the viewers:
 
     - spans are {e balanced}: an [End] with no open [Begin] is dropped,

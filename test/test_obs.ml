@@ -26,6 +26,91 @@ let with_obs_on f =
       O.Obs_span.disable ())
     f
 
+module C = O.Obs_counters
+
+(* An independent restatement of the counter table, to catch a
+   transposed slot: per [pp] block, each counter's [--stats] label, its
+   bump, and the snapshot one bump yields from zero. *)
+let counter_blocks =
+  C.
+    [
+      [
+        ("evaluations:", evaluation, { zero with evaluations = 1 });
+        ( "pruned evaluations:",
+          pruned_evaluation,
+          { zero with pruned_evaluations = 1 } );
+        ( "route-cache hits:",
+          route_cache_hit,
+          { zero with route_cache_hits = 1 } );
+        ("gap probes:", gap_probe, { zero with gap_probes = 1 });
+        ( "joint gap probes:",
+          joint_gap_probe,
+          { zero with joint_gap_probes = 1 } );
+        ("tentative hops:", tentative_hop, { zero with tentative_hops = 1 });
+        ("commits:", commit, { zero with commits = 1 });
+        ("copies:", copy, { zero with copies = 1 });
+      ];
+      [
+        ("retries:", retry, { zero with retries = 1 });
+        ("repairs:", repair, { zero with repairs = 1 });
+        ( "backoff time:",
+          (fun () -> backoff 0.5),
+          { zero with backoff_s = 0.5 } );
+      ];
+      [
+        ("rollbacks:", rollback, { zero with rollbacks = 1 });
+        ("replayed tasks:", replayed_task, { zero with replayed_tasks = 1 });
+        ( "search pruned:",
+          search_pruned_node,
+          { zero with search_pruned_nodes = 1 } );
+      ];
+      [
+        ("replans:", replan, { zero with replans = 1 });
+        ("shed jobs:", shed_job, { zero with shed_jobs = 1 });
+        ("frozen tasks:", frozen_task, { zero with frozen_tasks = 1 });
+        ("deadline misses:", deadline_miss, { zero with deadline_misses = 1 });
+      ];
+      [
+        ("requests:", server_request, { zero with requests = 1 });
+        ("batched replans:", batched_replan, { zero with batched_replans = 1 });
+        ("queued jobs:", queued_job, { zero with queued_jobs = 1 });
+      ];
+    ]
+
+(* Every counter holding a different value. *)
+let distinct : C.snapshot =
+  {
+    evaluations = 1;
+    pruned_evaluations = 2;
+    route_cache_hits = 3;
+    gap_probes = 4;
+    joint_gap_probes = 5;
+    tentative_hops = 6;
+    commits = 7;
+    copies = 8;
+    retries = 9;
+    repairs = 10;
+    backoff_s = 11.5;
+    rollbacks = 12;
+    replayed_tasks = 13;
+    search_pruned_nodes = 14;
+    replans = 15;
+    shed_jobs = 16;
+    frozen_tasks = 17;
+    deadline_misses = 18;
+    requests = 19;
+    batched_replans = 20;
+    queued_jobs = 21;
+  }
+
+(* "label:   value" lines of a [pp] rendering, split at the last space. *)
+let pp_lines c =
+  String.split_on_char '\n' (Format.asprintf "%a" C.pp c)
+  |> List.map (fun l ->
+         let i = String.rindex l ' ' in
+         ( String.trim (String.sub l 0 i),
+           String.sub l (i + 1) (String.length l - i - 1) ))
+
 let counter_tests =
   [
     Alcotest.test_case "disabled bumps are no-ops" `Quick (fun () ->
@@ -59,7 +144,37 @@ let counter_tests =
         check_int "copies" 1 c.O.Obs_counters.copies;
         O.Obs_counters.reset ();
         check_bool "reset zeroes" true
-          (O.Obs_counters.snapshot () = O.Obs_counters.zero));
+          (O.Obs_counters.snapshot () = O.Obs_counters.zero);
+        (* each bump moves its own field and only that one *)
+        List.iter
+          (List.iter (fun (label, bump, expected) ->
+               C.reset ();
+               bump ();
+               check_bool (label ^ " moves only its field") true
+                 (C.snapshot () = expected)))
+          counter_blocks;
+        (* merge then snapshot round-trips every field *)
+        C.reset ();
+        C.merge distinct;
+        check_bool "merge/snapshot round trip" true (C.snapshot () = distinct);
+        check_bool "diff from zero is identity" true
+          (C.diff C.zero distinct = distinct);
+        (* one nonzero counter prints block 0 plus exactly its own block *)
+        let labels block = List.map (fun (l, _, _) -> l) block in
+        let always = labels (List.hd counter_blocks) in
+        List.iteri
+          (fun b block ->
+            List.iter
+              (fun (label, _, expected) ->
+                let lines = pp_lines expected in
+                check_bool (label ^ " prints its block") true
+                  (List.map fst lines
+                  = always @ if b = 0 then [] else labels block);
+                check_bool (label ^ " value printed") true
+                  (List.assoc label lines
+                  = if label = "backoff time:" then "0.5" else "1"))
+              block)
+          counter_blocks);
     Alcotest.test_case "diff is per-field subtraction" `Quick (fun () ->
         with_obs_on @@ fun () ->
         O.Obs_counters.evaluation ();
@@ -239,6 +354,7 @@ let export_tests =
               let plat = O.Platform.paper_platform () in
               let g = O.Kernels.lu ~n:15 ~ccr:10. in
               ignore (O.Ilha.schedule plat g : O.Schedule.t);
+              O.Obs_counters.server_request ();
               let c = O.Obs_counters.snapshot () in
               O.Obs_trace.to_chrome ~counters:c (O.Obs_span.events ()))
         in
@@ -269,7 +385,25 @@ let export_tests =
         check_bool "metadata present" true
           (contains json {|"ph":"M"|} && contains json "scheduler");
         check_bool "counter track present" true
-          (contains json {|"ph":"C"|} && contains json "evaluations"));
+          (contains json {|"ph":"C"|} && contains json "evaluations");
+        (* every counter, the scheduld block included, reaches the track *)
+        match List.filter (fun l -> field l "ph" = Some {|"C"|}) lines with
+        | [ counter_line ] ->
+            List.iter
+              (fun key ->
+                check_bool (key ^ " in the counter event") true
+                  (field counter_line key <> None))
+              [
+                "evaluations"; "pruned_evaluations"; "route_cache_hits";
+                "gap_probes"; "joint_gap_probes"; "tentative_hops"; "commits";
+                "copies"; "retries"; "repairs"; "backoff_s"; "rollbacks";
+                "replayed_tasks"; "search_pruned_nodes"; "replans";
+                "shed_jobs"; "frozen_tasks"; "deadline_misses"; "requests";
+                "batched_replans"; "queued_jobs";
+              ];
+            check_bool "requests counted" true
+              (field counter_line "requests" = Some "1")
+        | _ -> Alcotest.fail "expected exactly one counter event");
     Alcotest.test_case "orphan events are repaired on export" `Quick
       (fun () ->
         with_obs_on @@ fun () ->
